@@ -23,10 +23,17 @@ the serving metrics without a separate export path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import math
+import sys
+from dataclasses import dataclass
+from typing import Dict, List
 
 __all__ = ["DriftRecord", "DriftRecorder"]
+
+# Since Python 3.12 the builtin ``sum`` of floats is compensated
+# (Neumaier); running totals follow whichever ``sum`` this interpreter
+# has, so a roll-up equals summing the records in append order.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -61,17 +68,65 @@ class DriftRecord:
         return "under" if self.underestimated else "over"
 
 
+class _Rollup:
+    """Running count, error sum, max error and underestimate count of a
+    record stream: the numbers a regroup-and-sum over the stream gives,
+    kept up to date in O(1) per record."""
+
+    __slots__ = ("count", "total", "compensation", "max_error", "under")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.compensation = 0.0
+        self.max_error = 0.0
+        self.under = 0
+
+    def add(self, observation: DriftRecord) -> None:
+        error = observation.relative_error
+        if _COMPENSATED_SUM:
+            total = self.total + error
+            if abs(self.total) >= abs(error):
+                self.compensation += (self.total - total) + error
+            else:
+                self.compensation += (error - total) + self.total
+            self.total = total
+        else:
+            self.total += error
+        # ``max`` keeps the first item and replaces it only on ``>``.
+        if self.count == 0 or error > self.max_error:
+            self.max_error = error
+        self.count += 1
+        self.under += observation.underestimated
+
+    def summary(self) -> Dict[str, float]:
+        total = self.total
+        if self.compensation and math.isfinite(self.compensation):
+            total += self.compensation
+        return {
+            "observations": self.count,
+            "mean_relative_error": total / self.count,
+            "max_relative_error": self.max_error,
+            "underestimated_share": self.under / self.count,
+        }
+
+
 class DriftRecorder:
     """Accumulates :class:`DriftRecord` observations and summarizes them.
 
     ``registry`` is optional; when given, every :meth:`record` also
     observes ``model_drift_relative_error`` and increments
     ``model_drift_observations_total{direction=...}``.
+
+    Summaries come from running roll-ups updated in :meth:`record`, so
+    a serve drain that reads them pays per query name, not per record.
     """
 
     def __init__(self, registry=None):
         self.records: List[DriftRecord] = []
         self._registry = registry
+        self._per_query: Dict[str, _Rollup] = {}
+        self._overall = _Rollup()
 
     def record(
         self,
@@ -89,6 +144,11 @@ class DriftRecorder:
             measured_cycles=float(measured_cycles),
         )
         self.records.append(observation)
+        rollup = self._per_query.get(query)
+        if rollup is None:
+            rollup = self._per_query[query] = _Rollup()
+        rollup.add(observation)
+        self._overall.add(observation)
         if self._registry is not None:
             self._registry.histogram("model_drift_relative_error").observe(
                 observation.relative_error
@@ -105,25 +165,10 @@ class DriftRecorder:
 
     def per_query(self) -> Dict[str, Dict[str, float]]:
         """Mean error and underestimate share per query name, sorted."""
-        grouped: Dict[str, List[DriftRecord]] = {}
-        for observation in self.records:
-            grouped.setdefault(observation.query, []).append(observation)
-        out: Dict[str, Dict[str, float]] = {}
-        for query in sorted(grouped):
-            members = grouped[query]
-            out[query] = {
-                "observations": len(members),
-                "mean_relative_error": sum(
-                    m.relative_error for m in members
-                ) / len(members),
-                "max_relative_error": max(
-                    m.relative_error for m in members
-                ),
-                "underestimated_share": sum(
-                    1 for m in members if m.underestimated
-                ) / len(members),
-            }
-        return out
+        return {
+            query: self._per_query[query].summary()
+            for query in sorted(self._per_query)
+        }
 
     def overall(self) -> Dict[str, float]:
         """The Fig 11/24 headline numbers across all observations."""
@@ -134,15 +179,7 @@ class DriftRecorder:
                 "max_relative_error": 0.0,
                 "underestimated_share": 0.0,
             }
-        errors = [observation.relative_error for observation in self.records]
-        return {
-            "observations": len(self.records),
-            "mean_relative_error": sum(errors) / len(errors),
-            "max_relative_error": max(errors),
-            "underestimated_share": sum(
-                1 for observation in self.records if observation.underestimated
-            ) / len(self.records),
-        }
+        return self._overall.summary()
 
     def to_json(self) -> Dict[str, object]:
         """Full dump: every observation plus the roll-ups."""

@@ -8,6 +8,7 @@ serving telemetry alone.
 """
 
 import json
+import random
 
 import pytest
 
@@ -278,6 +279,40 @@ class TestDrift:
             "max_relative_error": 0.0,
             "underestimated_share": 0.0,
         }
+
+    def test_running_rollups_equal_regroup_and_sum(self):
+        """per_query/overall come from running totals; they must equal,
+        bit for bit, regrouping every record and summing in order."""
+
+        def regroup(members):
+            return {
+                "observations": len(members),
+                "mean_relative_error": sum(
+                    m.relative_error for m in members
+                ) / len(members),
+                "max_relative_error": max(m.relative_error for m in members),
+                "underestimated_share": sum(
+                    1 for m in members if m.underestimated
+                ) / len(members),
+            }
+
+        rng = random.Random(11)
+        recorder = DriftRecorder()
+        for _ in range(400):
+            measured = rng.choice([0.0, 1.0, 3.0, 1e3, rng.uniform(1, 1e9)])
+            predicted = rng.choice(
+                [measured, measured * rng.uniform(0.01, 100.0), 1e18, 1e-9]
+            )
+            recorder.record(
+                rng.choice(["Q5", "Q7", "Q8", "Q9", "Q14", "q14_s0.0005"]),
+                "amd", 1 << 20, predicted, measured,
+            )
+        grouped = {}
+        for observation in recorder.records:
+            grouped.setdefault(observation.query, []).append(observation)
+        expected = {query: regroup(grouped[query]) for query in sorted(grouped)}
+        assert repr(recorder.per_query()) == repr(expected)
+        assert repr(recorder.overall()) == repr(regroup(recorder.records))
 
     def test_feeds_registry(self):
         registry = MetricsRegistry()
