@@ -48,6 +48,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..lru import BoundedLRU, CacheStats
 from ..plans.runtime import Batch, batch_bytes
 
 __all__ = [
@@ -97,13 +98,14 @@ class CheckpointStore:
     Keys are ``(query_ticket, segment_id)`` — ``query_ticket`` is a
     store-issued monotonic id, so two in-flight executions of the same
     query name never alias.  ``max_bytes``/``max_segments`` bound the
-    pool; recording a segment evicts least-recently-used entries (from
-    *any* query) until the new entry fits.  A segment larger than the
-    whole budget is simply not stored.
+    pool (one :class:`~repro.lru.BoundedLRU`); recording a segment
+    evicts least-recently-used entries (from *any* query) until the new
+    entry fits.  A segment larger than the whole budget is simply not
+    stored.  A resume is a hit of the store.
 
     Thread-safe: one store is shared by every concurrent worker-pool
-    execution, so ticket issue, entry management, and the byte/segment
-    accounting all happen under a reentrant lock.
+    execution, so ticket issue and invalidation counting share the
+    store's reentrant lock.
     """
 
     def __init__(
@@ -115,26 +117,18 @@ class CheckpointStore:
             raise ValueError("checkpoint store bounds must be non-negative")
         self.max_bytes = max_bytes
         self.max_segments = max_segments
-        self._entries: "OrderedDict[Tuple[int, str], SegmentCheckpoint]" = (
-            OrderedDict()
+        self._lru: "BoundedLRU[SegmentCheckpoint]" = BoundedLRU(
+            max_segments, max_bytes
         )
         self._next_ticket = 0
-        self.live_bytes = 0
-        # lifetime counters (service-wide observability)
-        self.recorded_total = 0
-        self.resumed_total = 0
-        self.evicted_total = 0
         self.invalidated_total = 0
-        self.peak_bytes = 0
-        self._lock = threading.RLock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     def open(self, query: str = "") -> "QueryCheckpoint":
         """A fresh per-execution window onto this store."""
-        with self._lock:
+        with self._lru.lock:
             ticket = self._next_ticket
             self._next_ticket += 1
         return QueryCheckpoint(self, ticket, query)
@@ -142,48 +136,27 @@ class CheckpointStore:
     # -- entry management (used by QueryCheckpoint) ---------------------
 
     def _put(self, ticket: int, entry: SegmentCheckpoint) -> bool:
-        if entry.nbytes > self.max_bytes or self.max_segments == 0:
-            return False
-        with self._lock:
-            while self._entries and (
-                self.live_bytes + entry.nbytes > self.max_bytes
-                or len(self._entries) >= self.max_segments
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self.live_bytes -= evicted.nbytes
-                self.evicted_total += 1
-            if len(self._entries) >= self.max_segments:
-                return False
-            self._entries[(ticket, entry.segment_id)] = entry
-            self.live_bytes += entry.nbytes
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-            self.recorded_total += 1
-            return True
+        return self._lru.put((ticket, entry.segment_id), entry, entry.nbytes)
 
     def _get(self, ticket: int, segment_id: str) -> Optional[SegmentCheckpoint]:
-        with self._lock:
-            entry = self._entries.get((ticket, segment_id))
-            if entry is not None:
-                self._entries.move_to_end((ticket, segment_id))
-            return entry
+        return self._lru.get((ticket, segment_id))
 
     def _drop(self, ticket: int, segment_id: str, invalidated: bool) -> None:
-        with self._lock:
-            entry = self._entries.pop((ticket, segment_id), None)
-            if entry is not None:
-                self.live_bytes -= entry.nbytes
-                if invalidated:
-                    self.invalidated_total += 1
+        with self._lru.lock:
+            entry = self._lru.pop((ticket, segment_id))
+            if entry is not None and invalidated:
+                self.invalidated_total += 1
 
     def counters_dict(self) -> Dict[str, int]:
-        with self._lock:
+        with self._lru.lock:
+            counters = self._lru.counters("live_segments")
             return {
-                "live_segments": len(self._entries),
-                "live_bytes": self.live_bytes,
-                "peak_bytes": self.peak_bytes,
-                "recorded": self.recorded_total,
-                "resumed": self.resumed_total,
-                "evicted": self.evicted_total,
+                "live_segments": counters["live_segments"],
+                "live_bytes": counters["live_bytes"],
+                "peak_bytes": counters["peak_bytes"],
+                "recorded": counters["stored"],
+                "resumed": counters["hits"],
+                "evicted": counters["evictions"],
                 "invalidated": self.invalidated_total,
             }
 
@@ -258,8 +231,6 @@ class QueryCheckpoint:
         self._seen_intermediates.update(entry.intermediates)
         self._seen_hash_tables.update(entry.hash_tables)
         self.segments_resumed += 1
-        with self._store._lock:
-            self._store.resumed_total += 1
         return True
 
     def record(self, segment_id: str, context) -> None:
@@ -418,38 +389,16 @@ class SegmentCache:
             raise ValueError("segment cache bounds must be non-negative")
         self.max_bytes = max_bytes
         self.max_segments = max_segments
-        self._entries: "OrderedDict[str, SegmentCheckpoint]" = OrderedDict()
-        self.live_bytes = 0
-        self.peak_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stored = 0
-        self._lock = threading.RLock()
+        self._lru: "BoundedLRU[SegmentCheckpoint]" = BoundedLRU(
+            max_segments, max_bytes
+        )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
-    def keys_for(
-        self,
-        plan,
-        database,
-        device_name: str,
-        *,
-        partitioned_joins: bool = False,
-        num_partitions: int = 16,
-        adaptive_fact: bool = False,
-    ) -> Tuple[str, ...]:
-        """Per-pipeline content keys (see :func:`segment_cache_keys`)."""
-        return segment_cache_keys(
-            plan,
-            database,
-            device_name,
-            partitioned_joins=partitioned_joins,
-            num_partitions=num_partitions,
-            adaptive_fact=adaptive_fact,
-        )
+    @property
+    def stats(self) -> CacheStats:
+        return self._lru.stats
 
     def restore(self, key: str, context) -> bool:
         """Splice the cached segment under ``key`` into ``context``.
@@ -457,21 +406,16 @@ class SegmentCache:
         Returns ``True`` when the segment can be skipped; a miss counts
         and returns ``False`` (the segment executes normally).
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return False
-            self._entries.move_to_end(key)
-            self.hits += 1
+        entry = self._lru.get(key)
+        if entry is None:
+            return False
         context.intermediates.update(entry.intermediates)
         context.hash_tables.update(entry.hash_tables)
         return True
 
     def entry_for(self, key: str) -> Optional[SegmentCheckpoint]:
         """Peek at the entry under ``key`` without counting a lookup."""
-        with self._lock:
-            return self._entries.get(key)
+        return self._lru.peek(key)
 
     def store(self, key: str, entry: SegmentCheckpoint) -> bool:
         """Insert ``entry`` under ``key``, evicting LRU entries to fit.
@@ -479,46 +423,11 @@ class SegmentCache:
         An entry larger than the whole budget is not stored; re-storing
         an existing key refreshes it in place.
         """
-        if entry.nbytes > self.max_bytes or self.max_segments == 0:
-            return False
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.live_bytes -= old.nbytes
-            while self._entries and (
-                self.live_bytes + entry.nbytes > self.max_bytes
-                or len(self._entries) >= self.max_segments
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self.live_bytes -= evicted.nbytes
-                self.evictions += 1
-            if len(self._entries) >= self.max_segments:
-                return False
-            self._entries[key] = entry
-            self.live_bytes += entry.nbytes
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-            self.stored += 1
-            return True
+        return self._lru.put(key, entry, entry.nbytes)
 
     def clear(self) -> None:
         """Drop every entry and reset all counters."""
-        with self._lock:
-            self._entries.clear()
-            self.live_bytes = 0
-            self.peak_bytes = 0
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.stored = 0
+        self._lru.clear()
 
     def counters_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "stored": self.stored,
-                "live_segments": len(self._entries),
-                "live_bytes": self.live_bytes,
-                "peak_bytes": self.peak_bytes,
-            }
+        return self._lru.counters("live_segments")

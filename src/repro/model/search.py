@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import GPLConfig
 from ..gpu import ChannelConfig, DeviceSpec
+from ..lru import BoundedLRU
 from ..obs.tracing import maybe_span
 from .calibration import CalibrationTable
 from .costmodel import CostModel, SegmentEstimate
@@ -92,41 +91,30 @@ DEFAULT_SEARCH_CACHE_LIMIT = 1024
 #: *query shape* instead (same idea as the Γ cache one level down).
 #: Kept in LRU order: hits refresh an entry, inserts beyond the limit
 #: evict the least recently used one.
-_SEARCH_CACHE: "OrderedDict[Tuple[str, str], SegmentChoice]" = OrderedDict()
-_SEARCH_CACHE_LIMIT = DEFAULT_SEARCH_CACHE_LIMIT
-_SEARCH_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-#: Guards the module-level memo + stats (shared by worker-pool tasks).
-_SEARCH_LOCK = threading.RLock()
+_SEARCH_CACHE: "BoundedLRU[SegmentChoice]" = BoundedLRU(
+    DEFAULT_SEARCH_CACHE_LIMIT
+)
 
 
 def search_cache_stats() -> Dict[str, int]:
     """Hit/miss/eviction counters and current size of the search memo."""
-    with _SEARCH_LOCK:
-        stats = dict(_SEARCH_STATS)
+    with _SEARCH_CACHE.lock:
+        stats = _SEARCH_CACHE.stats.as_dict()
         stats["size"] = len(_SEARCH_CACHE)
-        stats["limit"] = _SEARCH_CACHE_LIMIT
+        stats["limit"] = _SEARCH_CACHE.max_entries
         return stats
 
 
 def clear_search_cache() -> None:
     """Drop every memoized search outcome and reset the counters."""
-    with _SEARCH_LOCK:
-        _SEARCH_CACHE.clear()
-        _SEARCH_STATS["hits"] = 0
-        _SEARCH_STATS["misses"] = 0
-        _SEARCH_STATS["evictions"] = 0
+    _SEARCH_CACHE.clear()
 
 
 def set_search_cache_limit(limit: int) -> None:
     """Change the LRU bound; shrinking evicts oldest entries immediately."""
-    global _SEARCH_CACHE_LIMIT
     if limit < 1:
         raise ValueError("search cache limit must be at least 1")
-    with _SEARCH_LOCK:
-        _SEARCH_CACHE_LIMIT = int(limit)
-        while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
-            _SEARCH_CACHE.popitem(last=False)
-            _SEARCH_STATS["evictions"] += 1
+    _SEARCH_CACHE.resize(max_entries=int(limit))
 
 
 class ConfigurationSearch:
@@ -183,14 +171,7 @@ class ConfigurationSearch:
             "search.segment", category="search", segment=segment.name
         ) as span:
             if self.use_cache:
-                key = self._cache_key(segment)
-                with _SEARCH_LOCK:
-                    cached = _SEARCH_CACHE.get(key)
-                    if cached is not None:
-                        _SEARCH_CACHE.move_to_end(key)
-                        _SEARCH_STATS["hits"] += 1
-                    else:
-                        _SEARCH_STATS["misses"] += 1
+                cached = _SEARCH_CACHE.get(self._cache_key(segment))
                 if cached is not None:
                     if span is not None:
                         span.attrs["cached"] = True
@@ -217,11 +198,7 @@ class ConfigurationSearch:
                         )
             assert best is not None  # tile_candidates is never empty
             if self.use_cache:
-                with _SEARCH_LOCK:
-                    _SEARCH_CACHE[self._cache_key(segment)] = best
-                    while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
-                        _SEARCH_CACHE.popitem(last=False)
-                        _SEARCH_STATS["evictions"] += 1
+                _SEARCH_CACHE.put(self._cache_key(segment), best)
             return best
 
     def optimize_plan(

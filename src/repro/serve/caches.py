@@ -21,6 +21,7 @@ cache key as the plan is.  The service consults it before admission —
 a hit bypasses scheduling and execution entirely (outcome ``cached``).
 Results hold materialized rows, so the budget is bytes, not entries:
 a byte-budgeted LRU with oversized results simply never admitted.
+Both caches keep their entries in one :class:`~repro.lru.BoundedLRU`.
 The cross-query *segment* cache lives with the checkpoint machinery in
 :mod:`repro.core.checkpoint` (:class:`~repro.core.checkpoint.SegmentCache`)
 and is re-exported here alongside the serving-level caches.
@@ -28,43 +29,15 @@ and is re-exported here alongside the serving-level caches.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.checkpoint import SegmentCache
+from ..lru import BoundedLRU, CacheStats
 from ..plans import PhysicalPlan, QuerySpec
 from ..plans.lowering import plan_cache_key
 from ..plans.runtime import batch_bytes
 
 __all__ = ["CacheStats", "PlanCache", "ResultCache", "SegmentCache"]
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction accounting for one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        if self.lookups <= 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 class PlanCache:
@@ -74,8 +47,8 @@ class PlanCache:
     of query shapes, but nothing enforces that, so the least recently
     used plan is evicted once the bound is hit.
 
-    Thread-safe: worker-pool tasks share one cache, so lookups and
-    stores take a reentrant lock.  ``get_or_prepare`` deliberately
+    Thread-safe: worker-pool tasks share one cache, and the store under
+    it takes a reentrant lock.  ``fetch_or_prepare`` deliberately
     prepares *outside* the lock — lowering is the expensive part and
     concurrent misses on distinct keys must not serialize.
     """
@@ -84,13 +57,14 @@ class PlanCache:
         if max_entries < 1:
             raise ValueError("plan cache needs at least one entry")
         self.max_entries = max_entries
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[str, PhysicalPlan]" = OrderedDict()
-        self._lock = threading.RLock()
+        self._lru: "BoundedLRU[PhysicalPlan]" = BoundedLRU(max_entries)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
+
+    @property
+    def stats(self) -> CacheStats:
+        return self._lru.stats
 
     def key_for(self, engine, spec: QuerySpec) -> str:
         """The cache key ``engine`` would use for ``spec``."""
@@ -105,26 +79,10 @@ class PlanCache:
 
     def lookup(self, key: str) -> Optional[PhysicalPlan]:
         """The cached plan for ``key``, counting the hit or miss."""
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return plan
+        return self._lru.get(key)
 
     def store(self, key: str, plan: PhysicalPlan) -> None:
-        with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def get_or_prepare(self, engine, spec: QuerySpec) -> PhysicalPlan:
-        """The engine-facing entry point (see :meth:`EngineBase.prepare`)."""
-        return self.fetch_or_prepare(engine, spec)[0]
+        self._lru.put(key, plan)
 
     def fetch_or_prepare(
         self, engine, spec: QuerySpec
@@ -144,11 +102,14 @@ class PlanCache:
         self.store(key, plan)
         return plan, False
 
+    def counters_dict(self) -> Dict[str, int]:
+        """Hits, misses and evictions (the serving report embeds these)."""
+        with self._lru.lock:
+            return self._lru.stats.as_dict()
+
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
+        self._lru.clear()
 
 
 #: Default result-cache budget: 64 MiB of materialized rows.
@@ -170,26 +131,20 @@ class ResultCache:
     Entries are stored by reference.  That is safe for the same reason
     checkpoint capture-by-reference is: engine outputs are freshly
     materialized per execution and never mutated downstream.
-
-    Thread-safe: a reentrant lock keeps the entry map, the size map,
-    and the byte accounting in step under concurrent worker-pool use.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_RESULT_CACHE_BYTES):
         if max_bytes < 1:
             raise ValueError("result cache needs a positive byte budget")
         self.max_bytes = max_bytes
-        self.stats = CacheStats()
-        self.live_bytes = 0
-        self.peak_bytes = 0
-        self.stored = 0
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self._sizes: Dict[str, int] = {}
-        self._lock = threading.RLock()
+        self._lru = BoundedLRU(max_bytes=max_bytes)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
+
+    @property
+    def stats(self) -> CacheStats:
+        return self._lru.stats
 
     @staticmethod
     def result_bytes(result) -> int:
@@ -198,55 +153,16 @@ class ResultCache:
 
     def lookup(self, key: str):
         """The cached result for ``key``, counting the hit or miss."""
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return result
+        return self._lru.get(key)
 
     def store(self, key: str, result) -> bool:
         """Admit ``result`` under ``key``; ``False`` if it cannot fit."""
-        size = self.result_bytes(result)
-        if size > self.max_bytes:
-            return False
-        with self._lock:
-            if key in self._entries:
-                self.live_bytes -= self._sizes[key]
-                del self._entries[key]
-                del self._sizes[key]
-            while self._entries and self.live_bytes + size > self.max_bytes:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self.live_bytes -= self._sizes.pop(evicted_key)
-                self.stats.evictions += 1
-            self._entries[key] = result
-            self._sizes[key] = size
-            self.live_bytes += size
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-            self.stored += 1
-            return True
+        return self._lru.put(key, result, self.result_bytes(result))
 
     def counters_dict(self) -> Dict[str, int]:
         """Deterministic counters (the serving report embeds these)."""
-        with self._lock:
-            return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "stored": self.stored,
-                "live_results": len(self._entries),
-                "live_bytes": self.live_bytes,
-                "peak_bytes": self.peak_bytes,
-            }
+        return self._lru.counters("live_results")
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self.stats = CacheStats()
-            self.live_bytes = 0
-            self.peak_bytes = 0
-            self.stored = 0
+        self._lru.clear()

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import Counter as _Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cancel import CancellationToken
 from ..core import (
@@ -91,20 +91,17 @@ __all__ = ["QueryService", "QUEUE_POLICIES"]
 QUEUE_POLICIES: Tuple[str, ...] = ("reject", "shed-oldest")
 
 
-def _stats_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
-    return {key: after.get(key, 0) - before.get(key, 0) for key in after}
-
-
 def _cache_delta(
     after: Dict[str, int], before: Dict[str, int]
 ) -> Dict[str, int]:
     """Per-drain cache counters: deltas for the monotonic counters,
     current values for the occupancy (``live_*``/``peak_*``) entries."""
-    delta = _stats_delta(after, before)
-    for key in after:
-        if key.startswith(("live_", "peak_")):
-            delta[key] = after[key]
-    return delta
+    return {
+        key: value
+        if key.startswith(("live_", "peak_"))
+        else value - before.get(key, 0)
+        for key, value in after.items()
+    }
 
 
 @dataclass
@@ -645,6 +642,21 @@ class QueryService:
             busy += self._sharded.worker_pool.busy_seconds
         return tasks, busy
 
+    def _counter_sources(self) -> Dict[str, Callable[[], Dict[str, int]]]:
+        """``{report field: counters reader}`` for every attached store,
+        snapshotted before and after each drain."""
+        sources = {
+            "plan_cache": self.plan_cache.counters_dict,
+            "calibration_cache": calibration_cache_stats,
+            "search_cache": search_cache_stats,
+            "checkpoint": self.checkpoint_store.counters_dict,
+        }
+        if self.result_cache is not None:
+            sources["result_cache"] = self.result_cache.counters_dict
+        if self.segment_cache is not None:
+            sources["segment_cache"] = self.segment_cache.counters_dict
+        return sources
+
     def _settle_breakers(
         self,
         scopes: List[Tuple[str, Optional[CircuitBreaker]]],
@@ -799,20 +811,10 @@ class QueryService:
         batch: Sequence[Tuple[int, QuerySpec, Optional[FaultPlan]]],
         shed: Sequence[Tuple[int, QuerySpec]] = (),
     ) -> ServiceReport:
-        plan_before = self.plan_cache.stats.as_dict()
-        calibration_before = calibration_cache_stats()
-        search_before = search_cache_stats()
-        checkpoint_before = self.checkpoint_store.counters_dict()
-        result_before = (
-            self.result_cache.counters_dict()
-            if self.result_cache is not None
-            else {}
-        )
-        segment_before = (
-            self.segment_cache.counters_dict()
-            if self.segment_cache is not None
-            else {}
-        )
+        counter_sources = self._counter_sources()
+        counters_before = {
+            field: read() for field, read in counter_sources.items()
+        }
         pool_tasks_before, pool_busy_before = self._pool_stats()
         health = self._sharded.health if self._sharded is not None else None
         health_probes_before = health.probes if health is not None else 0
@@ -1188,6 +1190,14 @@ class QueryService:
             )
 
         pool_tasks_after, pool_busy_after = self._pool_stats()
+        cache_deltas = {
+            field: _cache_delta(read(), counters_before[field])
+            for field, read in counter_sources.items()
+        }
+        cache_deltas["checkpoint"] = {
+            key: cache_deltas["checkpoint"][key]
+            for key in ("recorded", "resumed", "evicted", "invalidated")
+        }
         report = ServiceReport(
             device=self.device.name,
             policy=self.scheduler.policy,
@@ -1199,34 +1209,8 @@ class QueryService:
             pool_tasks=pool_tasks_after - pool_tasks_before,
             pool_busy_seconds=pool_busy_after - pool_busy_before,
             records=records,
-            plan_cache=_stats_delta(
-                self.plan_cache.stats.as_dict(), plan_before
-            ),
-            calibration_cache=_stats_delta(
-                calibration_cache_stats(), calibration_before
-            ),
-            search_cache=_stats_delta(search_cache_stats(), search_before),
-            result_cache=(
-                _cache_delta(
-                    self.result_cache.counters_dict(), result_before
-                )
-                if self.result_cache is not None
-                else {}
-            ),
-            segment_cache=(
-                _cache_delta(
-                    self.segment_cache.counters_dict(), segment_before
-                )
-                if self.segment_cache is not None
-                else {}
-            ),
             shared_scan_rounds=shared_scan_rounds,
             breaker=breaker_states(self._breakers),
-            checkpoint={
-                key: self.checkpoint_store.counters_dict()[key]
-                - checkpoint_before[key]
-                for key in ("recorded", "resumed", "evicted", "invalidated")
-            },
             faults_scheduled=faults_scheduled,
             faults_fired_total=faults_fired_total,
             faults_unfired=[
@@ -1251,6 +1235,7 @@ class QueryService:
                 if health is not None
                 else 0
             ),
+            **cache_deltas,
         )
         self._record_metrics(report, len(rounds))
         report.metrics = self.registry.to_json()
@@ -1296,7 +1281,7 @@ class QueryService:
                     count, event=event
                 )
         registry.gauge("checkpoint_live_bytes").set(
-            self.checkpoint_store.live_bytes
+            self.checkpoint_store.counters_dict()["live_bytes"]
         )
         if report.deduped:
             registry.counter("batch_dedupe_queries_total").inc(
@@ -1312,11 +1297,11 @@ class QueryService:
                 registry.counter("pool_probe_total").inc(report.pool_probes)
         if self.result_cache is not None:
             registry.gauge("cache_result_bytes").set(
-                self.result_cache.live_bytes
+                self.result_cache.counters_dict()["live_bytes"]
             )
         if self.segment_cache is not None:
             registry.gauge("cache_segment_bytes").set(
-                self.segment_cache.live_bytes
+                self.segment_cache.counters_dict()["live_bytes"]
             )
         for record in report.records:
             registry.counter("serve_queries_total").inc(

@@ -8,21 +8,39 @@ under byte pressure degrades to plain execution — never to wrong rows.
 """
 
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro.core import GPLEngine
-from repro.core.checkpoint import SegmentCache, SegmentCheckpoint
+from repro.core.checkpoint import (
+    CheckpointStore,
+    SegmentCache,
+    SegmentCheckpoint,
+    segment_cache_keys,
+)
 from repro.faults import FaultPlan
 from repro.gpu import AMD_A10
 from repro.kbe import KBEEngine
-from repro.model import clear_calibration_cache, clear_search_cache
-from repro.serve import QueryService, ResultCache
+from repro.model import (
+    clear_calibration_cache,
+    clear_search_cache,
+    search_cache_stats,
+)
+from repro.model.search import (
+    DEFAULT_SEARCH_CACHE_LIMIT,
+    set_search_cache_limit,
+)
+from repro.serve import PlanCache, QueryService, ResultCache
 from repro.shard import DevicePool
-from repro.tpch import generate_database, q5, q9, q14
+from repro.tpch import generate_database, q5, q9, q14, query_by_name
 
 MIB = 1024 * 1024
+GOLDEN_COUNTERS = (
+    pathlib.Path(__file__).parent / "fixtures" / "serve_cache_counters.json"
+)
 
 
 def service_for(db, **kwargs):
@@ -59,7 +77,7 @@ class TestResultCache:
         assert cache.lookup("k") is result
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
-        assert cache.live_bytes == 64
+        assert cache.counters_dict()["live_bytes"] == 64
 
     def test_lru_eviction_under_byte_pressure(self):
         one = _FakeResult(8)  # 64 bytes each
@@ -72,7 +90,7 @@ class TestResultCache:
         assert cache.lookup("a") is one
         assert cache.lookup("c") is not None
         assert cache.stats.evictions == 1
-        assert cache.live_bytes == 2 * 64
+        assert cache.counters_dict()["live_bytes"] == 2 * 64
 
     def test_oversized_result_never_admitted(self):
         cache = ResultCache(max_bytes=63)
@@ -87,7 +105,7 @@ class TestResultCache:
         cache.store("k", _FakeResult(8))
         cache.store("k", _FakeResult(16))
         assert len(cache) == 1
-        assert cache.live_bytes == 128
+        assert cache.counters_dict()["live_bytes"] == 128
         counters = cache.counters_dict()
         assert counters["stored"] == 2
         assert counters["evictions"] == 0
@@ -111,9 +129,9 @@ class TestSegmentCacheBounds:
         cache.store("b", _segment("b", 8))
         cache.store("c", _segment("c", 8))
         assert len(cache) == 2
-        assert cache.evictions == 1
+        assert cache.stats.evictions == 1
         assert cache.entry_for("a") is None
-        assert cache.live_bytes == 2 * 64
+        assert cache.counters_dict()["live_bytes"] == 2 * 64
 
     def test_segment_count_bound(self):
         cache = SegmentCache(max_bytes=MIB, max_segments=1)
@@ -140,10 +158,10 @@ class TestEngineSegmentCache:
         engine = GPLEngine(tiny_db, AMD_A10)
         engine.segment_cache = cache
         cold = engine.execute(q5())
-        assert cache.hits == 0
-        assert cache.stored == len(engine.prepare(q5()).pipelines)
+        assert cache.stats.hits == 0
+        assert cache.stats.stored == len(engine.prepare(q5()).pipelines)
         hot = engine.execute(q5())
-        assert cache.hits == cache.stored
+        assert cache.stats.hits == cache.stats.stored
         assert cold.sorted_rows() == reference
         assert hot.sorted_rows() == reference
 
@@ -157,11 +175,11 @@ class TestEngineSegmentCache:
         engine = GPLEngine(tiny_db, AMD_A10)
         engine.segment_cache = cache
         full = engine.execute(base)
-        assert cache.hits == 0
+        assert cache.stats.hits == 0
         engine_b = GPLEngine(tiny_db, AMD_A10)
         engine_b.segment_cache = cache
         limited = engine_b.execute(variant)
-        assert cache.hits > 0  # the shared build prefix was spliced
+        assert cache.stats.hits > 0  # the shared build prefix was spliced
         reference = GPLEngine(tiny_db, AMD_A10).execute(variant)
         assert limited.sorted_rows() == reference.sorted_rows()
         assert len(limited.rows()) == 3
@@ -174,8 +192,12 @@ class TestEngineSegmentCache:
         cache = SegmentCache()
         engine = GPLEngine(tiny_db, AMD_A10)
         engine.segment_cache = cache
-        keys_a = cache.keys_for(engine.prepare(q5()), tiny_db, AMD_A10.name)
-        keys_b = cache.keys_for(engine.prepare(q5()), other_db, AMD_A10.name)
+        keys_a = segment_cache_keys(
+            engine.prepare(q5()), tiny_db, AMD_A10.name
+        )
+        keys_b = segment_cache_keys(
+            engine.prepare(q5()), other_db, AMD_A10.name
+        )
         assert keys_a != keys_b
 
 
@@ -346,3 +368,76 @@ class TestDeterminism:
             return cold.counters_dict(), hot.counters_dict()
 
         assert one_run() == one_run()
+
+
+# ---------------------------------------------------------------------------
+# golden cache counters under eviction
+# ---------------------------------------------------------------------------
+
+#: Three drains of (query, fault-plan seed or None).  Every store is
+#: sized so that it evicts: two plans, about two results, six segments,
+#: three checkpoints, and 24 search outcomes.
+GOLDEN_DRAINS = (
+    (("Q5", None), ("Q14", 11), ("Q9", None), ("Q14", None)),
+    (("Q7", 23), ("Q5", None), ("Q8", None), ("Q14", None)),
+    (("Q9", 37), ("Q5", None), ("Q14", None), ("Q8", 41)),
+)
+
+
+def golden_cache_counters(db):
+    """Per-drain report counters and the final search-memo stats."""
+    clear_calibration_cache()
+    clear_search_cache()
+    set_search_cache_limit(24)
+    try:
+        service = QueryService(
+            db,
+            AMD_A10,
+            tuned=True,
+            max_concurrent=4,
+            plan_cache=PlanCache(max_entries=2),
+            result_cache=ResultCache(max_bytes=100),
+            segment_cache=SegmentCache(max_bytes=100_000, max_segments=6),
+            checkpoint_store=CheckpointStore(max_segments=3),
+        )
+        drains = []
+        for drain in GOLDEN_DRAINS:
+            for name, seed in drain:
+                plan = None if seed is None else FaultPlan.from_seed(seed, 2)
+                service.enqueue(query_by_name(name), fault_plan=plan)
+            drains.append(service.drain().counters_dict())
+        witness = {"drains": drains, "search_cache": search_cache_stats()}
+        return json.loads(json.dumps(witness))
+    finally:
+        set_search_cache_limit(DEFAULT_SEARCH_CACHE_LIMIT)
+        clear_search_cache()
+
+
+class TestGoldenCacheCounters:
+    """Byte-budget and entry-bound eviction pinned drain by drain.
+
+    Re-record (only for a deliberate counter change) with
+    ``PYTHONPATH=src python tests/test_caching.py``.
+    """
+
+    def test_fixture_exercises_every_eviction_path(self):
+        golden = json.loads(GOLDEN_COUNTERS.read_text())
+        total = {}
+        for drain in golden["drains"]:
+            for store in ("plan_cache", "result_cache", "segment_cache"):
+                total[store] = total.get(store, 0) + drain[store]["evictions"]
+            for key in ("recorded", "resumed", "evicted"):
+                total[key] = total.get(key, 0) + drain["checkpoint"][key]
+        total["search_cache"] = golden["search_cache"]["evictions"]
+        assert all(count > 0 for count in total.values()), total
+
+    def test_counters_match_fixture(self, small_db):
+        golden = json.loads(GOLDEN_COUNTERS.read_text())
+        assert golden_cache_counters(small_db) == golden
+
+
+if __name__ == "__main__":
+    from conftest import SMALL_SCALE
+
+    witness = golden_cache_counters(generate_database(scale=SMALL_SCALE))
+    GOLDEN_COUNTERS.write_text(json.dumps(witness, indent=1) + "\n")

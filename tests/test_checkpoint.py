@@ -67,8 +67,8 @@ class TestStoreBounds:
         for seg in ("a", "b", "c"):
             context.intermediates[f"out_{seg}"] = _batch(8)
             window.record(seg, context)
-        assert store.evicted_total == 1
-        assert store.live_bytes <= store.max_bytes
+        assert store.counters_dict()["evicted"] == 1
+        assert store.counters_dict()["live_bytes"] <= store.max_bytes
         # The evicted segment (oldest: "a") is a clean miss, not an error.
         assert not window.restore("a", ExecutionContext())
         assert window.restore("c", ExecutionContext())
@@ -80,7 +80,7 @@ class TestStoreBounds:
         context = ExecutionContext()
         context.intermediates["out_a"] = _batch(1024)
         window.record("a", context)
-        assert store.recorded_total == 0
+        assert store.counters_dict()["recorded"] == 0
         assert not window.restore("a", ExecutionContext())
 
     def test_begin_attempt_invalidates_replanned_segments(self):
@@ -106,9 +106,9 @@ class TestStoreBounds:
         context = ExecutionContext()
         context.intermediates["out_a"] = _batch(2)
         window.record("a", context)
-        assert store.live_bytes > 0
+        assert store.counters_dict()["live_bytes"] > 0
         window.release()
-        assert store.live_bytes == 0
+        assert store.counters_dict()["live_bytes"] == 0
         assert len(store) == 0
 
     def test_tickets_never_alias(self):
@@ -171,8 +171,9 @@ class TestResumeGolden:
         )
         executor.execute(query_by_name("Q14"))
         executor.execute(query_by_name("Q5"))
-        assert store.recorded_total > 0
-        assert store.live_bytes == 0  # finished queries hold nothing
+        assert store.counters_dict()["recorded"] > 0
+        # finished queries hold nothing
+        assert store.counters_dict()["live_bytes"] == 0
 
     def test_checkpoints_survive_fallback_to_kbe(self, tiny_db, amd):
         """Physical plans are engine-independent, so a GPL->KBE fallback
