@@ -31,10 +31,30 @@ from ..relational import (
     Or,
 )
 
-__all__ = ["StatisticsEstimator", "DEFAULT_SELECTIVITY"]
+__all__ = ["StatisticsEstimator", "DEFAULT_SELECTIVITY", "max_distinct"]
 
 #: Fallback when a predicate's shape is not recognized (System R's 1/3).
 DEFAULT_SELECTIVITY = 1.0 / 3.0
+
+
+def max_distinct(left, right) -> int:
+    """``max(left.distinct, right.distinct)``, scanning only what decides it.
+
+    Either side may be ``None`` (no statistics), which counts as 0.  The
+    side with the larger :attr:`~ColumnStats.distinct_bound` is counted
+    first (on a tie, the one with fewer rows: it is cheaper to scan); the
+    other is counted only if its bound exceeds that exact value.  Because
+    ``distinct <= distinct_bound``, the result equals the plain ``max``.
+    """
+    sides = sorted(
+        (stats for stats in (left, right) if stats is not None),
+        key=lambda stats: (-stats.distinct_bound, stats.count),
+    )
+    best = 0
+    for stats in sides:
+        if stats.distinct_bound > best:
+            best = max(best, stats.distinct)
+    return best
 
 
 class StatisticsEstimator:
@@ -128,11 +148,11 @@ class StatisticsEstimator:
     def _compare_selectivity(self, predicate: Compare) -> float:
         if isinstance(predicate.left, Col) and isinstance(predicate.right, Col):
             # column = column (residual join predicates): 1 / max distinct
-            left_stats = self._column_stats(predicate.left.name)
-            right_stats = self._column_stats(predicate.right.name)
             distinct = max(
-                left_stats.distinct if left_stats else 0,
-                right_stats.distinct if right_stats else 0,
+                max_distinct(
+                    self._column_stats(predicate.left.name),
+                    self._column_stats(predicate.right.name),
+                ),
                 1,
             )
             if predicate.op == "==":
@@ -185,14 +205,11 @@ class StatisticsEstimator:
         right_key: str,
     ) -> float:
         """Estimated output rows of an equi-join (textbook formula)."""
-        left_stats = self._column_stats(left_key)
-        right_stats = self._column_stats(right_key)
-        distinct = 1.0
-        if left_stats is not None:
-            distinct = max(distinct, float(left_stats.distinct))
-        if right_stats is not None:
-            distinct = max(distinct, float(right_stats.distinct))
-        return left_rows * right_rows / distinct
+        distinct = max(
+            max_distinct(self._column_stats(left_key), self._column_stats(right_key)),
+            1,
+        )
+        return left_rows * right_rows / float(distinct)
 
     def group_cardinality(self, input_rows: float, group_keys) -> float:
         """Estimated group count: capped product of key distinct counts."""

@@ -8,7 +8,6 @@ the database query optimizer").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
 import numpy as np
@@ -37,14 +36,31 @@ def _distinct_count(array: np.ndarray, minimum, maximum) -> int:
     return int(np.unique(array).size)
 
 
-@dataclass(frozen=True)
 class ColumnStats:
-    """Min/max/distinct-count summary of one column."""
+    """Min/max/distinct-count summary of one column.
 
-    minimum: float
-    maximum: float
-    distinct: int
-    count: int
+    :meth:`from_array` computes min, max and count eagerly and the exact
+    distinct count on first read of :attr:`distinct` (a full pass over
+    the column).  :attr:`distinct_bound` is a scan-free upper bound, so an
+    estimator that only needs ``max(distinct)`` of two columns can skip
+    the side that cannot decide it (see ``repro.plans.stats.max_distinct``).
+
+    Nothing changes after construction but the memoized count.  Threads
+    that read it first at the same time may each compute it; all of them
+    get the same exact value.
+    """
+
+    __slots__ = ("minimum", "maximum", "count", "_distinct", "_bound", "_source")
+
+    def __init__(self, minimum: float, maximum: float, distinct: int, count: int):
+        self.minimum = minimum
+        self.maximum = maximum
+        self.count = count
+        self._distinct: Optional[int] = distinct
+        self._bound = count
+        #: ``(array, minimum, maximum)``, the exact extremes included, that
+        #: a lazy distinct count is computed from.
+        self._source: Optional[tuple] = None
 
     @classmethod
     def from_array(cls, array: np.ndarray) -> "ColumnStats":
@@ -52,12 +68,30 @@ class ColumnStats:
             return cls(0.0, 0.0, 0, 0)
         minimum = array.min()
         maximum = array.max()
-        return cls(
-            minimum=float(minimum),
-            maximum=float(maximum),
-            distinct=_distinct_count(array, minimum, maximum),
-            count=int(array.size),
-        )
+        stats = cls(float(minimum), float(maximum), None, int(array.size))
+        stats._source = (array, minimum, maximum)
+        if np.issubdtype(array.dtype, np.integer) or array.dtype == np.bool_:
+            # From the exact integer extremes: the float fields round
+            # int64 keys beyond 2**53.
+            stats._bound = min(stats.count, int(maximum) - int(minimum) + 1)
+        return stats
+
+    @property
+    def distinct(self) -> int:
+        """Exact number of distinct values (computed once, on first read)."""
+        distinct = self._distinct
+        if distinct is None:
+            distinct = _distinct_count(*self._source)
+            self._distinct = distinct
+        return distinct
+
+    @property
+    def distinct_bound(self) -> int:
+        """Upper bound on :attr:`distinct` that never scans the column:
+        the exact count once known, else ``min(count, max - min + 1)`` for
+        integer and bool columns, else ``count``."""
+        distinct = self._distinct
+        return self._bound if distinct is None else distinct
 
     def range_selectivity(self, low: Optional[float], high: Optional[float]) -> float:
         """Estimated fraction of rows in ``[low, high]`` assuming uniformity."""
@@ -123,7 +157,8 @@ class Database:
         return per_table[column_name]
 
     def analyze(self) -> None:
-        """Eagerly compute statistics for every column of every table."""
+        """Eagerly compute statistics, distinct counts included, for every
+        column of every table."""
         for name, table in self._tables.items():
             for column in table.schema:
-                self.stats(name, column.name)
+                self.stats(name, column.name).distinct

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.relational.database as database_module
 from repro.gpu import AMD_A10, NVIDIA_K40
 from repro.relational import Database
 from repro.tpch import generate_database
@@ -50,3 +51,17 @@ def assert_rows_close(actual, expected, rel=1e-9):
             assert abs(float(a) - float(e)) <= tolerance, (
                 f"{a} != {e} (tolerance {tolerance})"
             )
+
+
+@pytest.fixture()
+def distinct_scans(monkeypatch):
+    """The column arrays that exact distinct counts scanned, in order."""
+    scans = []
+    original = database_module._distinct_count
+
+    def counting(array, minimum, maximum):
+        scans.append(array)
+        return original(array, minimum, maximum)
+
+    monkeypatch.setattr(database_module, "_distinct_count", counting)
+    return scans

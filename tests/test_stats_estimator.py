@@ -1,10 +1,20 @@
 """Tests for selectivity and cardinality estimation."""
 
+import numpy as np
 import pytest
 
-from repro.plans import DEFAULT_SELECTIVITY, StatisticsEstimator
-from repro.relational import col, lit
+from repro.plans import (
+    DEFAULT_SELECTIVITY,
+    SelingerOptimizer,
+    StatisticsEstimator,
+)
+from repro.core import GPLEngine
+from repro.gpu import AMD_A10
+from repro.plans.stats import max_distinct
+from repro.relational import ColumnStats, Database, col, lit
 from repro.relational.types import date_to_days
+from repro.ssb import SSB_QUERIES, generate_ssb
+from repro.tpch import QUERIES, generate_database, query_by_name
 
 
 @pytest.fixture()
@@ -133,3 +143,108 @@ class TestJoinAndGroup:
 
     def test_global_aggregate(self, estimator):
         assert estimator.group_cardinality(1e9, []) == 1.0
+
+
+def _column_cases():
+    rng = np.random.default_rng(7)
+    big = 2**60
+    with_nan = rng.random(50)
+    with_nan[::7] = np.nan
+    return {
+        "int8": rng.integers(-128, 128, 300).astype(np.int8),
+        "uint8": rng.integers(0, 256, 300).astype(np.uint8),
+        "int32": rng.integers(0, 40, 200).astype(np.int32),
+        "int32-key": np.arange(1, 41, dtype=np.int32),
+        "int64": rng.integers(-(2**40), 2**40, 100),
+        "int64-beyond-2^53": big + rng.integers(0, 5, 64),
+        "uint64": rng.integers(0, 2**63, 64, dtype=np.uint64) * np.uint64(2),
+        "float-nan": with_nan,
+        "bool": rng.random(30) < 0.5,
+        "constant": np.full(25, 9, dtype=np.int32),
+        "empty": np.array([], dtype=np.int64),
+    }
+
+
+class TestMaxDistinct:
+    CASES = _column_cases()
+
+    @pytest.mark.parametrize("left", sorted(CASES))
+    @pytest.mark.parametrize("right", sorted(CASES))
+    def test_equals_max_of_exact_counts(self, left, right):
+        exact = max(
+            ColumnStats.from_array(self.CASES[left]).distinct,
+            ColumnStats.from_array(self.CASES[right]).distinct,
+        )
+        got = max_distinct(
+            ColumnStats.from_array(self.CASES[left]),
+            ColumnStats.from_array(self.CASES[right]),
+        )
+        assert got == exact
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bound_holds(self, name):
+        stats = ColumnStats.from_array(self.CASES[name])
+        bound = stats.distinct_bound  # read before the count is known
+        assert stats.distinct <= bound
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_missing_side_counts_zero(self, name):
+        exact = ColumnStats.from_array(self.CASES[name]).distinct
+        assert max_distinct(ColumnStats.from_array(self.CASES[name]), None) == exact
+        assert max_distinct(None, ColumnStats.from_array(self.CASES[name])) == exact
+        assert max_distinct(None, None) == 0
+
+    def test_primary_key_side_decides(self, distinct_scans):
+        keys = ColumnStats.from_array(np.arange(1, 101, dtype=np.int32))
+        foreign = ColumnStats.from_array(
+            np.random.default_rng(3).integers(1, 101, 5000).astype(np.int32)
+        )
+        assert max_distinct(foreign, keys) == 100
+        assert [array.size for array in distinct_scans] == [100]  # key side only
+
+
+def _fresh(database):
+    fresh = Database()
+    for name in database.names:
+        fresh.add(name, database.table(name))
+    return fresh
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return [
+        (generate_database(scale=0.01), QUERIES),
+        (generate_ssb(scale=0.01), SSB_QUERIES),
+    ]
+
+
+class TestColdStatisticsPlanEquality:
+    @pytest.mark.parametrize("choose_fact", [False, True])
+    def test_cold_catalog_plans_like_analyzed(self, workloads, choose_fact):
+        for database, queries in workloads:
+            cold = _fresh(database)
+            warm = _fresh(database)
+            warm.analyze()
+            for name, spec in sorted(queries.items()):
+                a = SelingerOptimizer(cold, choose_fact=choose_fact).optimize(spec)
+                b = SelingerOptimizer(warm, choose_fact=choose_fact).optimize(spec)
+                assert a.join_order == b.join_order, name
+                assert a.fact == b.fact, name
+                assert a.estimated_rows == b.estimated_rows, name
+                assert a.plan.describe() == b.plan.describe(), name
+
+
+class TestColdRunSkipsFactScans:
+    def test_gpl_never_counts_lineitem_or_dates(self, small_db, distinct_scans):
+        names = {
+            id(small_db.table(table).column(column.name)): (table, column.name)
+            for table in small_db.names
+            for column in small_db.table(table).schema
+        }
+        for query in ("Q5", "Q7", "Q8", "Q9", "Q14"):
+            GPLEngine(_fresh(small_db), AMD_A10).execute(query_by_name(query))
+        counted = [names[id(array)] for array in distinct_scans]
+        assert counted  # dimension keys still decide join estimates
+        for table, column in counted:
+            assert table != "lineitem", column
+            assert column not in ("l_shipdate", "o_orderdate")
